@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the ODH codecs behind the paper's
 // §3 claims: value compression (linear / quantization / XOR), timestamp
-// delta-of-delta coding and whole-ValueBlob encode/decode. These quantify
-// the per-point CPU cost that the macro benches (Figures 5/6) aggregate.
+// delta-of-delta coding, whole-ValueBlob encode/decode and the CRC32C page
+// and WAL checksum. These quantify the per-point CPU cost that the macro
+// benches (Figures 5/6) aggregate.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 
 #include "common/random.h"
 #include "core/value_blob.h"
+#include "storage/checksum.h"
 
 namespace odh::core {
 namespace {
@@ -128,6 +130,21 @@ void BM_TagOrientedDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 
+/// Checksums one buffer (a page is 4096 bytes) with the dispatching
+/// ExtendCrc32c, or with the portable slicing-by-8 path it falls back to.
+void BM_Crc32c(benchmark::State& state, bool portable) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Random rng(7);
+  std::string data(n, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        portable ? storage::ExtendCrc32cPortable(0, data.data(), n)
+                 : storage::ExtendCrc32c(0, data.data(), n));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+
 BENCHMARK_CAPTURE(BM_EncodeColumn, xor_smooth, ValueCodec::kXor, 0.0, true)
     ->Arg(256)->Arg(1024);
 BENCHMARK_CAPTURE(BM_EncodeColumn, linear_smooth, ValueCodec::kLinear, 0.1,
@@ -137,13 +154,15 @@ BENCHMARK_CAPTURE(BM_EncodeColumn, quant_noisy, ValueCodec::kQuantized, 0.1,
                   false)
     ->Arg(256)->Arg(1024);
 BENCHMARK_CAPTURE(BM_DecodeColumn, xor_smooth, ValueCodec::kXor, 0.0, true)
-    ->Arg(1024);
+    ->Arg(256)->Arg(1024);
 BENCHMARK_CAPTURE(BM_DecodeColumn, linear_smooth, ValueCodec::kLinear, 0.1,
                   true)
     ->Arg(1024);
 BENCHMARK_CAPTURE(BM_DecodeColumn, quant_noisy, ValueCodec::kQuantized, 0.1,
                   false)
-    ->Arg(1024);
+    ->Arg(256)->Arg(1024);
+BENCHMARK_CAPTURE(BM_Crc32c, dispatch, false)->Arg(64)->Arg(4096);
+BENCHMARK_CAPTURE(BM_Crc32c, portable, true)->Arg(64)->Arg(4096);
 BENCHMARK(BM_TimestampCodec)->Arg(1024);
 BENCHMARK(BM_RtsBlobRoundTrip)->Arg(256)->Arg(1024);
 BENCHMARK(BM_TagOrientedDecode)->Arg(0)->Arg(1);

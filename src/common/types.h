@@ -28,8 +28,9 @@ using TagIndex = int32_t;
 /// Formats a Timestamp as "YYYY-MM-DD HH:MM:SS[.ffffff]" (UTC).
 std::string FormatTimestamp(Timestamp ts);
 
-/// Parses "YYYY-MM-DD HH:MM:SS" (UTC) into microseconds since epoch.
-/// Returns false on malformed input.
+/// Parses "YYYY-MM-DD HH:MM:SS[.ffffff]" (UTC, years 1-9999, 1-6 fraction
+/// digits) into microseconds since epoch; the inverse of FormatTimestamp.
+/// Returns false on malformed input, an out-of-range field or trailing text.
 bool ParseTimestamp(const std::string& text, Timestamp* out);
 
 }  // namespace odh

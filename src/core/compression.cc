@@ -105,12 +105,12 @@ Status DecodeXor(Slice input, size_t n, std::vector<double>* out) {
       if (!changed) {
         bits = prev;
       } else {
-        uint64_t leading, length_minus1, payload;
-        if (!reader.Read(6, &leading) || !reader.Read(6, &length_minus1)) {
-          return Status::Corruption("xor header");
-        }
-        int length = static_cast<int>(length_minus1) + 1;
-        int trailing = 64 - static_cast<int>(leading) - length;
+        // Leading-zero count and length-1, six bits each, in one read.
+        uint64_t header, payload;
+        if (!reader.Read(12, &header)) return Status::Corruption("xor header");
+        int leading = static_cast<int>(header >> 6);
+        int length = static_cast<int>(header & 63) + 1;
+        int trailing = 64 - leading - length;
         if (trailing < 0) return Status::Corruption("xor widths");
         if (!reader.Read(length, &payload)) {
           return Status::Corruption("xor payload");
@@ -347,37 +347,49 @@ Status DecodeColumn(Slice input, size_t n, std::vector<double>* values) {
   const char* bitmap = input.data();
   input.remove_prefix(bitmap_bytes);
   size_t present = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if ((bitmap[i / 8] >> (i % 8)) & 1) ++present;
+  for (size_t i = 0; i < n / 8; ++i) {
+    present += static_cast<size_t>(
+        __builtin_popcount(static_cast<uint8_t>(bitmap[i])));
   }
-  std::vector<double> decoded;
+  if (n % 8 != 0) {
+    // Bits past `n` in the last byte are not values; ignore them.
+    const unsigned mask = (1u << (n % 8)) - 1;
+    present += static_cast<size_t>(
+        __builtin_popcount(static_cast<uint8_t>(bitmap[n / 8]) & mask));
+  }
+  // With every value present (the common case) the codec decodes straight
+  // into `values`; otherwise into a compact vector that is then scattered.
+  const bool dense = present == n;
+  std::vector<double> compact;
+  std::vector<double>* decoded = dense ? values : &compact;
   switch (codec) {
     case ValueCodec::kRaw: {
       Slice in = input;
-      ODH_RETURN_IF_ERROR(DecodeRaw(&in, present, &decoded));
+      ODH_RETURN_IF_ERROR(DecodeRaw(&in, present, decoded));
       break;
     }
     case ValueCodec::kXor:
-      ODH_RETURN_IF_ERROR(DecodeXor(input, present, &decoded));
+      ODH_RETURN_IF_ERROR(DecodeXor(input, present, decoded));
       break;
     case ValueCodec::kLinear: {
       Slice in = input;
-      ODH_RETURN_IF_ERROR(DecodeLinear(&in, &decoded));
-      if (decoded.size() != present) {
+      ODH_RETURN_IF_ERROR(DecodeLinear(&in, decoded));
+      if (decoded->size() != present) {
         return Status::Corruption("linear count mismatch");
       }
       break;
     }
     case ValueCodec::kQuantized:
-      ODH_RETURN_IF_ERROR(DecodeQuantized(input, present, &decoded));
+      ODH_RETURN_IF_ERROR(DecodeQuantized(input, present, decoded));
       break;
     default:
       return Status::Corruption("unknown codec");
   }
+  if (dense) return Status::OK();
   values->assign(n, std::numeric_limits<double>::quiet_NaN());
   size_t next = 0;
   for (size_t i = 0; i < n; ++i) {
-    if ((bitmap[i / 8] >> (i % 8)) & 1) (*values)[i] = decoded[next++];
+    if ((bitmap[i / 8] >> (i % 8)) & 1) (*values)[i] = compact[next++];
   }
   return Status::OK();
 }
@@ -397,17 +409,18 @@ void EncodeTimestamps(const Timestamp* ts, size_t n, Timestamp base,
 Status DecodeTimestamps(Slice* input, size_t n, Timestamp base,
                         std::vector<Timestamp>* ts) {
   ts->resize(n);
-  int64_t prev_delta = 0;
-  Timestamp prev = base;
+  // Unsigned accumulators: corrupt input may overflow, and unsigned
+  // arithmetic wraps where signed overflow would be undefined.
+  uint64_t prev_delta = 0;
+  uint64_t prev = static_cast<uint64_t>(base);
   for (size_t i = 0; i < n; ++i) {
     int64_t dod;
     if (!GetVarintSigned64(input, &dod)) {
       return Status::Corruption("timestamp dod");
     }
-    int64_t delta = prev_delta + dod;
-    prev += delta;
-    (*ts)[i] = prev;
-    prev_delta = delta;
+    prev_delta += static_cast<uint64_t>(dod);
+    prev += prev_delta;
+    (*ts)[i] = static_cast<Timestamp>(prev);
   }
   return Status::OK();
 }

@@ -41,7 +41,8 @@ class ReplicaApplier {
   ReplicaApplier(const ReplicaApplier&) = delete;
   ReplicaApplier& operator=(const ReplicaApplier&) = delete;
 
-  /// Applies one bootstrap-snapshot chunk (encoded WalRecord payloads).
+  /// Applies a bootstrap snapshot's records (encoded WalRecord payloads).
+  /// ReplicationClient calls it once per snapshot, at its End frame.
   Status ApplySnapshotRecords(const std::vector<std::string>& payloads);
 
   /// Ends the bootstrap: the store now mirrors the primary at `base_lsn`.

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/backoff.h"
 #include "net/wire.h"
@@ -257,6 +258,11 @@ Status ReplicationClient::RunOnce() {
 
   uint64_t snapshot_base = 0;
   bool in_snapshot = false;
+  // Snapshot records are staged and applied only at kReplSnapshotEnd: the
+  // applied LSN stays 0 until then, so a stream cut mid-snapshot makes the
+  // next subscribe start a fresh snapshot, which must not meet records
+  // this one already applied.
+  std::vector<std::string> snapshot_records;
   int batches_since_flush = 0;
   while (!stopping_.load(std::memory_order_acquire)) {
     // Heartbeats arrive every heartbeat_interval_ms, so the rpc deadline
@@ -285,7 +291,9 @@ Status ReplicationClient::RunOnce() {
             !DecodeReplSnapshotChunk(Slice(frame.payload), &records)) {
           return Status::Corruption("bad snapshot chunk");
         }
-        ODH_RETURN_IF_ERROR(applier_->ApplySnapshotRecords(records));
+        for (std::string& record : records) {
+          snapshot_records.push_back(std::move(record));
+        }
         break;
       }
       case FrameType::kReplSnapshotEnd: {
@@ -296,6 +304,8 @@ Status ReplicationClient::RunOnce() {
           return Status::Corruption("bad snapshot end");
         }
         in_snapshot = false;
+        ODH_RETURN_IF_ERROR(applier_->ApplySnapshotRecords(snapshot_records));
+        snapshot_records = {};
         ODH_RETURN_IF_ERROR(applier_->FinishSnapshot(base));
         break;
       }

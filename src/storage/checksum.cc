@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace odh::storage {
 namespace {
 
@@ -32,9 +36,39 @@ const Crc32cTables& Tables() {
   return tables;
 }
 
+#if defined(__x86_64__)
+/// The SSE4.2 `crc32` instruction computes CRC-32C directly, eight bytes
+/// per instruction.
+__attribute__((target("sse4.2"))) uint32_t ExtendCrc32cSse42(
+    uint32_t crc, const void* data, size_t n) {
+  const unsigned char* p = static_cast<const unsigned char*>(data);
+  uint64_t c = ~crc;
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    n -= 8;
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  while (n-- > 0) c32 = _mm_crc32_u8(c32, *p++);
+  return ~c32;
+}
+#endif
+
+using Crc32cFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+Crc32cFn ChooseCrc32c() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return &ExtendCrc32cSse42;
+#endif
+  return &ExtendCrc32cPortable;
+}
+
 }  // namespace
 
-uint32_t ExtendCrc32c(uint32_t crc, const void* data, size_t n) {
+uint32_t ExtendCrc32cPortable(uint32_t crc, const void* data, size_t n) {
   const Crc32cTables& tab = Tables();
   const unsigned char* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
@@ -56,6 +90,11 @@ uint32_t ExtendCrc32c(uint32_t crc, const void* data, size_t n) {
     crc = (crc >> 8) ^ tab.t[0][(crc ^ *p++) & 0xff];
   }
   return ~crc;
+}
+
+uint32_t ExtendCrc32c(uint32_t crc, const void* data, size_t n) {
+  static const Crc32cFn impl = ChooseCrc32c();
+  return impl(crc, data, n);
 }
 
 uint32_t Crc32c(const void* data, size_t n) {

@@ -111,5 +111,55 @@ TEST(TimestampTest, FormatWithMicros) {
   EXPECT_EQ(FormatTimestamp(ts + 250000), "2020-01-01 00:00:00.250000");
 }
 
+TEST(TimestampTest, ParseInvertsFormatWithFractionsAndBeforeEpoch) {
+  const Timestamp cases[] = {
+      0,
+      1,
+      -1,
+      250000,
+      -250000,
+      999999,
+      -999999,
+      1384732800000000 + 123456,       // 2013-11-18 00:00:00.123456
+      -2208988800000000 + 500000,      // 1900-01-01 00:00:00.5
+      -2208988800000000 - 1,           // 1899-12-31 23:59:59.999999
+      951782400000000 + 86399999999,   // 2000-02-29 23:59:59.999999
+      -11644473600000000 + 1,          // 1601-01-01 00:00:00.000001
+      253402300799000000 + 999999,     // 9999-12-31 23:59:59.999999
+  };
+  for (Timestamp ts : cases) {
+    const std::string text = FormatTimestamp(ts);
+    Timestamp parsed = 0;
+    ASSERT_TRUE(ParseTimestamp(text, &parsed)) << text;
+    EXPECT_EQ(parsed, ts) << text;
+  }
+}
+
+TEST(TimestampTest, ParseReadsOneToSixFractionDigits) {
+  Timestamp base;
+  ASSERT_TRUE(ParseTimestamp("2020-01-01 00:00:00", &base));
+  Timestamp ts;
+  ASSERT_TRUE(ParseTimestamp("2020-01-01 00:00:00.5", &ts));
+  EXPECT_EQ(ts - base, 500000);
+  ASSERT_TRUE(ParseTimestamp("2020-01-01 00:00:00.25", &ts));
+  EXPECT_EQ(ts - base, 250000);
+  ASSERT_TRUE(ParseTimestamp("2020-01-01 00:00:00.000001", &ts));
+  EXPECT_EQ(ts - base, 1);
+  ASSERT_TRUE(ParseTimestamp("1969-12-31 23:59:59.75", &ts));
+  EXPECT_EQ(ts, -250000);
+}
+
+TEST(TimestampTest, ParseRejectsMalformedFractionAndFields) {
+  Timestamp ts;
+  EXPECT_FALSE(ParseTimestamp("2020-01-01 00:00:00.", &ts));
+  EXPECT_FALSE(ParseTimestamp("2020-01-01 00:00:00.1234567", &ts));
+  EXPECT_FALSE(ParseTimestamp("2020-01-01 00:00:00.12x", &ts));
+  EXPECT_FALSE(ParseTimestamp("2020-01-01 00:00:00.-5", &ts));
+  EXPECT_FALSE(ParseTimestamp("2020-01-01 00:00:00 junk", &ts));
+  EXPECT_FALSE(ParseTimestamp("2020-13-01 00:00:00", &ts));
+  EXPECT_FALSE(ParseTimestamp("2019-02-29 00:00:00", &ts));
+  EXPECT_FALSE(ParseTimestamp("2020-01-01 24:00:00", &ts));
+}
+
 }  // namespace
 }  // namespace odh

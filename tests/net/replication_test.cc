@@ -35,14 +35,15 @@ namespace {
 class ReplicationTest : public ::testing::Test {
  protected:
   void StartPrimary(core::OdhOptions odh_options = {},
-                    ServerOptions server_options = {}) {
+                    ServerOptions server_options = {},
+                    ReplicationSourceOptions source_options = {}) {
     odh_options_ = odh_options;
     primary_ = std::make_unique<core::OdhSystem>(odh_options);
     type_ = primary_->DefineSchemaType("env", {"temperature"}).value();
     ODH_CHECK_OK(
         primary_->RegisterSource(1, type_, kMicrosPerSecond, /*regular=*/true));
     source_ = std::make_unique<ReplicationSource>(
-        primary_->store(), ReplicationSourceOptions{}, primary_->metrics());
+        primary_->store(), source_options, primary_->metrics());
     server_options.role = ServerRole::kPrimary;
     server_options.replication = source_.get();
     server_ = std::make_unique<HistorianServer>(primary_->engine(),
@@ -110,6 +111,8 @@ class ReplicationTest : public ::testing::Test {
   }
 
   core::OdhOptions odh_options_;
+  // Outlives the server whose sessions consult it (stopped in TearDown).
+  std::unique_ptr<FaultPolicy> server_faults_;
   std::unique_ptr<core::OdhSystem> primary_;
   std::unique_ptr<core::OdhSystem> replica_;
   std::unique_ptr<ReplicationSource> source_;
@@ -211,6 +214,28 @@ TEST_F(ReplicationTest, ReconnectCatchesUpWithoutLossOrDuplication) {
   }
   ExpectParity();
   EXPECT_GT(faults.faults_injected(), 0u) << "schedule never fired";
+  EXPECT_GE(rclient_->reconnects(), 1);
+  ODH_CHECK_OK(rclient_->fatal_error());
+}
+
+TEST_F(ReplicationTest, StreamCutMidSnapshotDoesNotDuplicateRows) {
+  // One snapshot record per chunk, and the primary's 4th frame write (the
+  // 2nd snapshot chunk, after Welcome, Begin and chunk 1) hangs up halfway.
+  // The replica has received chunk 1 but no End, so it resubscribes at
+  // LSN 0 and gets a fresh snapshot, which must not land on top of chunk
+  // 1's records.
+  server_faults_ = std::make_unique<FaultPolicy>();
+  server_faults_->DisconnectAtNthWrite(4);
+  ServerOptions server_options;
+  server_options.fault_policy = server_faults_.get();
+  ReplicationSourceOptions source_options;
+  source_options.max_batch_bytes = 1;
+  StartPrimary({}, server_options, source_options);
+  for (int batch = 0; batch < 3; ++batch) IngestPoints(batch * 60, 60);
+  StartReplica();
+  ASSERT_TRUE(CatchUp());
+  ExpectParity();
+  EXPECT_EQ(server_faults_->faults_injected(), 1u);
   EXPECT_GE(rclient_->reconnects(), 1);
   ODH_CHECK_OK(rclient_->fatal_error());
 }

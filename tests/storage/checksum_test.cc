@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string>
 
+#include "common/random.h"
+
 namespace odh::storage {
 namespace {
 
@@ -48,6 +50,40 @@ TEST(Crc32cTest, UnalignedStarts) {
     uint32_t direct = Crc32c(data.data() + off, data.size() - off);
     uint32_t extended = ExtendCrc32c(0, data.data() + off, data.size() - off);
     EXPECT_EQ(direct, extended);
+  }
+}
+
+TEST(Crc32cTest, PortableMatchesKnownVectors) {
+  EXPECT_EQ(ExtendCrc32cPortable(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(ExtendCrc32cPortable(0, "", 0), 0u);
+  std::string zeros(32, '\0');
+  EXPECT_EQ(ExtendCrc32cPortable(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+  std::string ffs(32, '\xff');
+  EXPECT_EQ(ExtendCrc32cPortable(0, ffs.data(), ffs.size()), 0x62A8AB43u);
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortable) {
+  // ExtendCrc32c takes the SSE4.2 path on CPUs that have it; it must
+  // agree with the slicing-by-8 reference on every length (word loop and
+  // byte tail), every start alignment and every seed CRC.
+  Random rng(42);
+  std::string data(4100 + 8, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Uniform(256));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng.Uniform(8);
+    const size_t n = rng.Uniform(4101);
+    const uint32_t seed =
+        trial % 2 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    const char* p = data.data() + offset;
+    ASSERT_EQ(ExtendCrc32c(seed, p, n), ExtendCrc32cPortable(seed, p, n))
+        << "offset " << offset << " length " << n << " seed " << seed;
+  }
+  for (size_t n = 0; n <= 64; ++n) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const char* p = data.data() + offset;
+      ASSERT_EQ(ExtendCrc32c(0, p, n), ExtendCrc32cPortable(0, p, n))
+          << "offset " << offset << " length " << n;
+    }
   }
 }
 
