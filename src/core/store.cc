@@ -239,17 +239,21 @@ Status OdhStore::PutMg(int schema_type, int64_t group, Timestamp begin,
 
 namespace {
 
+// Partition elimination: only blobs with begin_ts in [lo - max_span, hi]
+// can overlap [lo, hi], since max_span bounds every blob's end - begin.
+// Returns lo - max_span, clamped at kMinTimestamp instead of overflowing
+// (max_span >= 0).
+Timestamp WidenedScanLo(Timestamp lo, Timestamp max_span) {
+  return lo < kMinTimestamp + max_span ? kMinTimestamp : lo - max_span;
+}
+
 Status ScanSeries(relational::Table* table, const ContainerStats& stats,
                   int64_t seg_key, int64_t generation, SourceId id,
                   Timestamp lo, Timestamp hi,
                   std::atomic<int64_t>* examined,
                   std::atomic<int64_t>* discarded,
                   std::vector<BlobRecord>* out) {
-  // Partition elimination: only blobs with begin_ts in
-  // [lo - max_span, hi] can overlap [lo, hi].
-  Timestamp scan_lo =
-      lo == kMinTimestamp ? kMinTimestamp : lo - stats.max_span;
-  if (scan_lo > lo) scan_lo = kMinTimestamp;  // Underflow guard.
+  const Timestamp scan_lo = WidenedScanLo(lo, stats.max_span);
   std::string lo_key = EncodeKey({Datum::Int64(id), Datum::Time(scan_lo)});
   std::string hi_key = EncodeKey({Datum::Int64(id), Datum::Time(hi)});
   ODH_ASSIGN_OR_RETURN(relational::Table::IndexIterator it,
@@ -273,6 +277,29 @@ Status ScanSeries(relational::Table* table, const ContainerStats& stats,
     } else {
       discarded->fetch_add(1, std::memory_order_relaxed);
     }
+    ODH_RETURN_IF_ERROR(it.Next());
+  }
+  return Status::OK();
+}
+
+// The slice counterpart of ScanSeries' range scan, over every source: one
+// pass over the (id, begin_ts) index leaves appends the rids of the rows
+// whose begin_ts lies in [lo - max_span, hi]. A per-source reseek would
+// descend from the root once per source.
+Status ListSliceCandidates(relational::Table* table, Timestamp max_span,
+                           Timestamp lo, Timestamp hi,
+                           std::vector<relational::Rid>* out) {
+  const Timestamp scan_lo = WidenedScanLo(lo, max_span);
+  ODH_ASSIGN_OR_RETURN(relational::Table::IndexIterator it,
+                       table->IndexScan(0, "", ""));
+  while (it.Valid()) {
+    KeyDecoder key(it.key());
+    int64_t source, begin;
+    if (!key.ReadInt64(&source) || !key.ReadInt64(&begin)) {
+      return Status::Corruption("undecodable series index key in " +
+                                table->name());
+    }
+    if (begin >= scan_lo && begin <= hi) out->push_back(it.rid());
     ODH_RETURN_IF_ERROR(it.Next());
   }
   return Status::OK();
@@ -332,10 +359,8 @@ Result<std::vector<BlobRecord>> OdhStore::GetMg(int schema_type,
       if (seg.mg_stats.blob_count > 0) CountSegmentPruned(stats);
       continue;
     }
-    Timestamp scan_lo =
-        lo == kMinTimestamp ? kMinTimestamp : lo - seg.mg_stats.max_span;
-    if (scan_lo > lo) scan_lo = kMinTimestamp;
-    std::string lo_key = EncodeKey({Datum::Time(scan_lo)});
+    std::string lo_key =
+        EncodeKey({Datum::Time(WidenedScanLo(lo, seg.mg_stats.max_span))});
     std::string hi_key = EncodeKey({Datum::Time(hi)});
     ODH_ASSIGN_OR_RETURN(relational::Table::IndexIterator it,
                          seg.mg->IndexScan(0, lo_key, hi_key));
@@ -446,7 +471,7 @@ Status OdhStore::NextSliceChunk(int schema_type, bool irts, Timestamp lo,
        it->second.manifest.generation != cursor->generation)) {
     // The segment we were mid-way through was dropped or compacted into a
     // new generation. Its replacement has a different physical layout, so
-    // the resume rid is meaningless — skip the remainder and move on
+    // the listed rids are meaningless — skip the remainder and move on
     // (same contract as a drop between whole-segment chunks).
     cursor->in_segment = false;
     if (cursor->pin || cursor->seg == INT64_MAX) {
@@ -466,6 +491,7 @@ Status OdhStore::NextSliceChunk(int schema_type, bool irts, Timestamp lo,
   Segment& seg = it->second;
   const int64_t key = it->first;
   cursor->seg = key;
+  relational::Table* table = irts ? seg.irts : seg.rts;
   if (!cursor->in_segment) {
     const ContainerStats& sstats = irts ? seg.irts_stats : seg.rts_stats;
     if (SegmentDisjoint(sstats, lo, hi)) {
@@ -483,46 +509,37 @@ Status OdhStore::NextSliceChunk(int schema_type, bool irts, Timestamp lo,
       }
       return Status::OK();
     }
-  }
-  relational::Table* table = irts ? seg.irts : seg.rts;
-  auto rows = table->NewIterator();
-  if (cursor->in_segment) {
-    ODH_RETURN_IF_ERROR(rows.SeekAfter(cursor->last));
-  } else {
-    ODH_RETURN_IF_ERROR(rows.SeekToFirst());
-  }
-  int consumed = 0;
-  bool more = false;
-  relational::Rid last{};
-  while (rows.Valid()) {
-    ODH_ASSIGN_OR_RETURN(Row row, rows.row());
-    BlobRecord rec;
+    // List the segment's candidates once from the pk index, then visit
+    // them in physical order — the order a heap walk would emit them in.
+    // Rows appended after this listing are not emitted by this scan.
+    cursor->rids.clear();
+    cursor->next = 0;
     ODH_RETURN_IF_ERROR(
-        RowToBlobRecord(row, rows.rid(), /*is_mg=*/false, &rec));
-    rec.seg = key;
-    rec.generation = seg.manifest.generation;
-    last = rows.rid();
-    ++consumed;
-    // Same overlap filter the streaming path applied; deliberately not
-    // counted in blobs_examined/discarded (slice scans never were).
-    if (rec.end >= lo && rec.begin <= hi) out->push_back(std::move(rec));
-    ODH_RETURN_IF_ERROR(rows.Next());
-    if (consumed >= kSliceChunkRows && rows.Valid()) {
-      more = true;
-      break;
-    }
-  }
-  if (more) {
+        ListSliceCandidates(table, sstats.max_span, lo, hi, &cursor->rids));
+    std::sort(cursor->rids.begin(), cursor->rids.end());
     cursor->in_segment = true;
     cursor->generation = seg.manifest.generation;
-    cursor->last = last;
+  }
+  const size_t stop = std::min(cursor->rids.size(),
+                               cursor->next + kSliceChunkRows);
+  for (; cursor->next < stop; ++cursor->next) {
+    const relational::Rid& rid = cursor->rids[cursor->next];
+    ODH_ASSIGN_OR_RETURN(Row row, table->Get(rid));
+    BlobRecord rec;
+    ODH_RETURN_IF_ERROR(RowToBlobRecord(row, rid, /*is_mg=*/false, &rec));
+    rec.seg = key;
+    rec.generation = seg.manifest.generation;
+    // The widened listing over-approximates; this is the exact overlap
+    // filter. Deliberately not counted in blobs_examined/discarded (slice
+    // scans never were).
+    if (rec.end >= lo && rec.begin <= hi) out->push_back(std::move(rec));
+  }
+  if (cursor->next < cursor->rids.size()) return Status::OK();
+  cursor->in_segment = false;
+  if (cursor->pin || key == INT64_MAX) {
+    *done = true;
   } else {
-    cursor->in_segment = false;
-    if (cursor->pin || key == INT64_MAX) {
-      *done = true;
-    } else {
-      ++cursor->seg;
-    }
+    ++cursor->seg;
   }
   return Status::OK();
 }

@@ -214,9 +214,12 @@ class OdhStore {
   /// chunk just skips the vanished rows.
   struct SliceCursor {
     int64_t seg = INT64_MIN;  // Next segment key to visit (or current).
-    bool in_segment = false;  // Resuming inside `seg` after `last`.
-    int generation = 0;       // Generation `last` was read from.
-    relational::Rid last;     // Physically last row already returned.
+    bool in_segment = false;  // `seg` is listed; resuming at rids[next].
+    int generation = 0;       // Generation `rids` were listed from.
+    /// `seg`'s candidate rows (begin_ts within the window widened by the
+    /// segment's max_span), in physical (page, slot) order.
+    std::vector<relational::Rid> rids;
+    size_t next = 0;
     /// Pinned to `seg` only: the cursor finishes (or skips, on a
     /// generation mismatch or drop) that one segment and reports done
     /// instead of advancing. Segment-parallel scans use one pinned cursor
@@ -225,16 +228,22 @@ class OdhStore {
     bool pin = false;
   };
 
-  /// Chunked slice scan: materializes up to kSliceChunkRows blob rows of
-  /// one segment's RTS or IRTS table overlapping [lo, hi] per call, under
-  /// the store mutex — a scan over years of history never holds more than
+  /// Chunked slice scan over one segment's RTS or IRTS table at a time,
+  /// under the store mutex. Entering a segment lists its candidate rids
+  /// with one pass over the (id, begin_ts) index leaves — only blobs whose
+  /// begin_ts lies in [lo - max_span, hi] can overlap [lo, hi] — so blobs
+  /// outside the window are never fetched. Each call then fetches up to
+  /// kSliceChunkRows candidates in physical order and returns those that
+  /// overlap [lo, hi]: a scan over years of history never holds more than
   /// one chunk of blob rows. Start with a default SliceCursor; the call
   /// advances it. `*done` turns true when no rows remain (out may be
   /// empty on any call — keep calling until done). Chunks arrive in
-  /// segment-key then physical order, so concatenated results are
-  /// begin_ts-ordered per source. If the current segment is compacted or
-  /// dropped between chunks (generation mismatch), its remaining rows are
-  /// skipped rather than re-read from a different layout.
+  /// segment-key then physical order (the order of a heap walk), so
+  /// concatenated results are begin_ts-ordered per source. A blob
+  /// appended to a segment after its listing is not emitted. If the
+  /// current segment is compacted or dropped between chunks (generation
+  /// mismatch), its remaining rows are skipped rather than re-read from a
+  /// different layout.
   static constexpr int kSliceChunkRows = 8;
   Status NextSliceChunk(int schema_type, bool irts, Timestamp lo,
                         Timestamp hi, SliceCursor* cursor,

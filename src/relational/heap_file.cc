@@ -143,25 +143,12 @@ Result<std::string> HeapFile::Get(const Rid& rid) {
   const char* p = page.data();
   if (rid.slot == kOverflowSlot) {
     if (p[0] != kOverflowFirst) return Status::NotFound("not overflow head");
-    uint32_t total = DecodeFixed32(p + 4);
-    if (total == 0) return Status::NotFound("deleted overflow record");
-    std::string out;
-    out.reserve(total);
-    size_t chunk = std::min<size_t>(total, page_size - kOverflowFirstHeader);
-    out.append(p + kOverflowFirstHeader, chunk);
-    storage::PageNo next = rid.page + 1;
-    while (out.size() < total) {
-      ODH_ASSIGN_OR_RETURN(storage::PageRef cont,
-                           pool_->FetchPage(file_, next));
-      const char* cp = cont.data();
-      if (cp[0] != kOverflowCont) {
-        return Status::Corruption("broken overflow chain");
-      }
-      size_t n = std::min<size_t>(total - out.size(),
-                                  page_size - kOverflowContHeader);
-      out.append(cp + kOverflowContHeader, n);
-      ++next;
+    if (DecodeFixed32(p + 4) == 0) {
+      return Status::NotFound("deleted overflow record");
     }
+    std::string out;
+    storage::PageNo after;
+    ODH_RETURN_IF_ERROR(ReadOverflow(rid.page, p, &out, &after));
     return out;
   }
   if (p[0] != kSlottedPage) return Status::NotFound("not a slotted page");
@@ -172,6 +159,30 @@ Result<std::string> HeapFile::Get(const Rid& rid) {
   uint16_t len = ReadU16(slot + 2);
   if (offset == kDeletedOffset) return Status::NotFound("deleted record");
   return std::string(p + offset, len);
+}
+
+Status HeapFile::ReadOverflow(storage::PageNo head, const char* p,
+                              std::string* out, storage::PageNo* after) {
+  const size_t page_size = pool_->usable_page_size();
+  const uint32_t total = DecodeFixed32(p + 4);
+  out->clear();
+  out->reserve(total);
+  size_t chunk = std::min<size_t>(total, page_size - kOverflowFirstHeader);
+  out->append(p + kOverflowFirstHeader, chunk);
+  storage::PageNo next = head + 1;
+  while (out->size() < total) {
+    ODH_ASSIGN_OR_RETURN(storage::PageRef cont, pool_->FetchPage(file_, next));
+    const char* cp = cont.data();
+    if (cp[0] != kOverflowCont) {
+      return Status::Corruption("broken overflow chain");
+    }
+    size_t n = std::min<size_t>(total - out->size(),
+                                page_size - kOverflowContHeader);
+    out->append(cp + kOverflowContHeader, n);
+    ++next;
+  }
+  *after = next;
+  return Status::OK();
 }
 
 Status HeapFile::Delete(const Rid& rid) {
@@ -207,19 +218,10 @@ Status HeapFile::Iterator::SeekToFirst() {
   return FindNext();
 }
 
-Status HeapFile::Iterator::SeekAfter(const Rid& rid) {
-  page_ = rid.page;
-  // An overflow head is the only record on its page chain; resuming with
-  // slot 1 makes FindNext skip it and move past the chain. Slotted pages
-  // resume at the next slot.
-  slot_ = rid.slot == kOverflowSlot ? 1 : rid.slot + 1;
-  valid_ = false;
-  return FindNext();
-}
-
 Status HeapFile::Iterator::Next() {
   if (!valid_) return Status::FailedPrecondition("iterator not valid");
-  ++slot_;
+  // A yielded overflow record already left page_ past its chain.
+  if (rid_.slot != kOverflowSlot) ++slot_;
   valid_ = false;
   return FindNext();
 }
@@ -246,21 +248,19 @@ Status HeapFile::Iterator::FindNext() {
         }
         ++slot_;
       }
-    } else if (p[0] == kOverflowFirst && slot_ == 0) {
-      uint32_t total = DecodeFixed32(p + 4);
-      if (total != 0) {
-        Rid rid{page_, kOverflowSlot};
-        page.Release();
-        ODH_ASSIGN_OR_RETURN(record_, file_->Get(rid));
-        rid_ = rid;
+    } else if (p[0] == kOverflowFirst) {
+      if (DecodeFixed32(p + 4) != 0) {
+        // Read the chain from the pinned head and resume on the page after
+        // it: each page of a live overflow record is fetched once.
+        rid_ = Rid{page_, kOverflowSlot};
+        ODH_RETURN_IF_ERROR(file_->ReadOverflow(page_, p, &record_, &page_));
+        slot_ = 0;
         valid_ = true;
-        // Arrange to resume after this overflow chain.
-        slot_ = 1;
         return Status::OK();
       }
     }
-    // Move to the next page (overflow continuation pages are skipped by
-    // their type byte; an overflow head we already yielded resumes here).
+    // Move to the next page (continuation pages of a deleted overflow
+    // head are skipped by their type byte).
     ++page_;
     slot_ = 0;
   }

@@ -1,6 +1,7 @@
 #ifndef ODH_RELATIONAL_HEAP_FILE_H_
 #define ODH_RELATIONAL_HEAP_FILE_H_
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -17,6 +18,8 @@ struct Rid {
   uint32_t slot = 0;
 
   bool operator==(const Rid&) const = default;
+  /// Physical (page, slot) order: the order a heap scan visits records.
+  auto operator<=>(const Rid&) const = default;
 
   /// 8-byte fixed encoding used as B-tree index values / key suffixes.
   std::string Encode() const;
@@ -55,10 +58,6 @@ class HeapFile {
    public:
     /// Positions on the first record; check Valid() afterwards.
     Status SeekToFirst();
-    /// Positions on the first live record physically after `rid` (the
-    /// resume point of a chunked scan; physical order is stable for
-    /// insert-only tables). Check Valid() afterwards.
-    Status SeekAfter(const Rid& rid);
     bool Valid() const { return valid_; }
     Status Next();
     const std::string& record() const { return record_; }
@@ -86,6 +85,10 @@ class HeapFile {
       : pool_(pool), file_(file) {}
 
   Result<Rid> InsertOverflow(const Slice& record);
+  /// Reads the live overflow record whose head page `head` is pinned at
+  /// `p` into `*out`; `*after` is the first page past its chain.
+  Status ReadOverflow(storage::PageNo head, const char* p, std::string* out,
+                      storage::PageNo* after);
 
   storage::BufferPool* pool_;
   storage::FileId file_;

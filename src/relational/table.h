@@ -88,8 +88,6 @@ class Table {
   class Iterator {
    public:
     Status SeekToFirst() { return it_.SeekToFirst(); }
-    /// Resumes a chunked scan after `rid` (physical order).
-    Status SeekAfter(const Rid& rid) { return it_.SeekAfter(rid); }
     bool Valid() const { return it_.Valid(); }
     Status Next() { return it_.Next(); }
     Result<Row> row() const;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <ostream>
 
 #include "common/coding.h"
 #include "common/random.h"
@@ -319,7 +320,14 @@ struct CodecParam {
   ValueCodec codec;
   double max_error;
   uint64_t seed;
+  // Name ctest lists the case under. The cases were first listed by gtest's
+  // raw byte dump of {codec, max_error, seed}, whose padding bytes are
+  // uninitialised and so changed from run to run; each case keeps the name
+  // it was first recorded under, now fixed.
+  const char* label;
 };
+
+void PrintTo(const CodecParam& param, std::ostream* os) { *os << param.label; }
 
 class CodecPropertyTest : public ::testing::TestWithParam<CodecParam> {};
 
@@ -362,12 +370,25 @@ TEST_P(CodecPropertyTest, ContractHolds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Codecs, CodecPropertyTest,
-    ::testing::Values(CodecParam{ValueCodec::kRaw, 0, 1},
-                      CodecParam{ValueCodec::kXor, 0, 2},
-                      CodecParam{ValueCodec::kLinear, 0.5, 3},
-                      CodecParam{ValueCodec::kLinear, 0.01, 4},
-                      CodecParam{ValueCodec::kQuantized, 0.5, 5},
-                      CodecParam{ValueCodec::kQuantized, 0.05, 6}));
+    ::testing::Values(
+        CodecParam{ValueCodec::kRaw, 0, 1,
+                   "24-byte object <00-00 00-00 00-00 00-00 00-00 00-00 "
+                   "00-00 00-00 01-00 00-00 00-00 00-00>"},
+        CodecParam{ValueCodec::kXor, 0, 2,
+                   "24-byte object <01-00 00-00 00-00 00-00 00-00 00-00 "
+                   "00-00 00-00 02-00 00-00 00-00 00-00>"},
+        CodecParam{ValueCodec::kLinear, 0.5, 3,
+                   "24-byte object <02-FF 48-00 00-00 D0-EF 00-00 00-00 "
+                   "00-00 E0-3F 03-00 00-00 00-00 00-00>"},
+        CodecParam{ValueCodec::kLinear, 0.01, 4,
+                   "24-byte object <02-00 00-00 00-00 00-00 7B-14 AE-47 "
+                   "E1-7A 84-3F 04-00 00-00 00-00 00-00>"},
+        CodecParam{ValueCodec::kQuantized, 0.5, 5,
+                   "24-byte object <03-00 01-1B 03-1E 09-00 00-00 00-00 "
+                   "00-00 E0-3F 05-00 00-00 00-00 00-00>"},
+        CodecParam{ValueCodec::kQuantized, 0.05, 6,
+                   "24-byte object <03-DA 55-00 00-00 C5-CA 9A-99 99-99 "
+                   "99-99 A9-3F 06-00 00-00 00-00 00-00>"}));
 
 // Golden bytes: the encodings below were produced by the bit-at-a-time
 // BitWriter that preceded the word-at-a-time one. The on-disk format must

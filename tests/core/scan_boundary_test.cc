@@ -169,6 +169,16 @@ TEST_F(ScanBoundaryTest, NativeScanHalfOpenViaInclusiveMicros) {
   EXPECT_EQ(n, 50);
 }
 
+TEST_F(ScanBoundaryTest, WidenedLowerBoundClampsAtMinTimestamp) {
+  // Partition elimination widens lo by the longest blob span; just above
+  // kMinTimestamp that must clamp rather than overflow (UBSan aborts).
+  auto blobs = odh_->store()->GetRts(type_, 1, kMinTimestamp + 1,
+                                     49 * kMicrosPerSecond);
+  ASSERT_TRUE(blobs.ok());
+  ASSERT_EQ(blobs->size(), 1u);
+  EXPECT_EQ((*blobs)[0].begin, 0);
+}
+
 TEST(MgBoundaryTest, SliceHalfOpenOnMgWindowBoundary) {
   // Low-frequency sources land in MG blobs; the same half-open boundary
   // contract must hold on the MG scan path (begin_ts index + group filter).
@@ -199,6 +209,11 @@ TEST(MgBoundaryTest, SliceHalfOpenOnMgWindowBoundary) {
     EXPECT_EQ(r->rows[0][1], Datum::Double(10.0)) << vec << push;
     EXPECT_EQ(r->rows[0][2], Datum::Double(29.0)) << vec << push;
   }
+  // The MG scan's widened lower bound clamps near kMinTimestamp too.
+  auto blobs = odh.store()->GetMg(type, /*group=*/-1, kMinTimestamp + 1,
+                                  50 * kMicrosPerSecond);
+  ASSERT_TRUE(blobs.ok());
+  EXPECT_EQ(blobs->size(), 1u);
 }
 
 }  // namespace

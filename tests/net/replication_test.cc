@@ -111,8 +111,10 @@ class ReplicationTest : public ::testing::Test {
   }
 
   core::OdhOptions odh_options_;
-  // Outlives the server whose sessions consult it (stopped in TearDown).
+  // Outlive the server whose sessions and the replica whose tail thread
+  // consult them (both stopped in TearDown).
   std::unique_ptr<FaultPolicy> server_faults_;
+  std::unique_ptr<FaultPolicy> client_faults_;
   std::unique_ptr<core::OdhSystem> primary_;
   std::unique_ptr<core::OdhSystem> replica_;
   std::unique_ptr<ReplicationSource> source_;
@@ -197,12 +199,12 @@ TEST_F(ReplicationTest, ReconnectCatchesUpWithoutLossOrDuplication) {
   // Seeded read faults on the subscriber's transport cut the stream
   // repeatedly; every cut forces a reconnect that must resume from the
   // applied LSN — never re-applying (duplicates) or skipping (loss).
-  FaultPolicy faults(/*seed=*/21);
-  faults.FailNthRead(4);
-  faults.FailNthRead(9);
-  faults.FailNthRead(15);
+  client_faults_ = std::make_unique<FaultPolicy>(/*seed=*/21);
+  client_faults_->FailNthRead(4);
+  client_faults_->FailNthRead(9);
+  client_faults_->FailNthRead(15);
   ReplicationClientOptions options;
-  options.fault_policy = &faults;
+  options.fault_policy = client_faults_.get();
   options.retry.initial_backoff_ms = 1;
   options.retry.max_backoff_ms = 8;
   fast_backoff_applied_ = true;
@@ -213,7 +215,7 @@ TEST_F(ReplicationTest, ReconnectCatchesUpWithoutLossOrDuplication) {
     ASSERT_TRUE(CatchUp());
   }
   ExpectParity();
-  EXPECT_GT(faults.faults_injected(), 0u) << "schedule never fired";
+  EXPECT_GT(client_faults_->faults_injected(), 0u) << "schedule never fired";
   EXPECT_GE(rclient_->reconnects(), 1);
   ODH_CHECK_OK(rclient_->fatal_error());
 }

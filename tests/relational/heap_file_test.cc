@@ -109,6 +109,41 @@ TEST_F(HeapFileTest, ScanVisitsAllLiveRecordsIncludingOverflow) {
   EXPECT_EQ(got, want);
 }
 
+TEST_F(HeapFileTest, ScanFetchesEachOverflowPageOnce) {
+  // Overflow records of every chain length from one page to four, with
+  // sizes stepping across the page boundaries, and two deleted heads
+  // (their continuation pages are still walked, once each).
+  const size_t usable = pool_.usable_page_size();
+  std::vector<std::string> live;
+  std::vector<Rid> doomed;
+  int n = 0;
+  for (size_t size = usable - 8; size < 4 * usable; size += 53, ++n) {
+    std::string rec(size, '\0');
+    for (size_t i = 0; i < size; ++i) rec[i] = static_cast<char>(i * 7 + n);
+    Rid rid = heap_->Insert(Slice(rec)).value();
+    ASSERT_EQ(rid.slot, 0xFFFFFFFFu) << "size " << size << " not overflow";
+    if (n == 3 || n == 20) {
+      doomed.push_back(rid);
+    } else {
+      live.push_back(std::move(rec));
+    }
+  }
+  for (const Rid& rid : doomed) ASSERT_TRUE(heap_->Delete(rid).ok());
+
+  const uint64_t fetches_before = pool_.hit_count() + pool_.miss_count();
+  auto it = heap_->NewIterator();
+  ASSERT_TRUE(it.SeekToFirst().ok());
+  std::vector<std::string> got;
+  while (it.Valid()) {
+    got.push_back(it.record());
+    ASSERT_TRUE(it.Next().ok());
+  }
+  const uint64_t fetches = pool_.hit_count() + pool_.miss_count() -
+                           fetches_before;
+  EXPECT_EQ(got, live);  // Physical order is insertion order here.
+  EXPECT_EQ(fetches, disk_.PageCount(heap_->file()).value());
+}
+
 TEST_F(HeapFileTest, ScanSkipsDeleted) {
   Rid a = heap_->Insert(Slice("a")).value();
   heap_->Insert(Slice("b")).value();
